@@ -52,8 +52,9 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
     """Run one request; failures come back structured, never raised.
 
     Only algorithm failures (:class:`ReproError` subclasses — the paper's
-    "platform too small" outcomes) are captured into
-    ``ScheduleResult.failure``; programming errors (unknown algorithm
+    "platform too small" outcomes) and, with ``request.validate``, an
+    invalid mapping are captured into ``ScheduleResult.failure`` (the
+    mapping is then dropped); programming errors (unknown algorithm
     name, wrong config type) raise immediately. The request's
     ``ExecutionPolicy`` is *not* enforced here — that is the backend's
     job (:func:`repro.api.exec.backends.solve_with_policy`).
@@ -79,7 +80,14 @@ def solve(request: ScheduleRequest) -> ScheduleResult:
 
     mapping = output.mapping if output is not None else None
     if mapping is not None and request.validate:
-        mapping.validate()
+        try:
+            mapping.validate()
+        except ReproError as exc:
+            # an invalid mapping (e.g. a memory-oblivious one overflowing
+            # a processor) is reported like an algorithm failure
+            failure = FailureInfo.from_exception(exc)
+            sweep = tuple(output.sweep)
+            output = mapping = None
 
     return ScheduleResult(
         algorithm=info.display_name,

@@ -23,6 +23,7 @@ Engine composition (see DESIGN.md, substitutions):
 """
 
 from repro.memdag.model import (
+    BlockStatics,
     TraversalState,
     BlockPackingState,
     evaluate_traversal,
@@ -46,6 +47,7 @@ from repro.memdag.traversal import (
 from repro.memdag.requirement import block_requirement, RequirementCache
 
 __all__ = [
+    "BlockStatics",
     "TraversalState",
     "BlockPackingState",
     "evaluate_traversal",

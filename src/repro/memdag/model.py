@@ -19,7 +19,7 @@ reduces to ``r_u`` exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.workflow.graph import Workflow
 
@@ -58,7 +58,10 @@ class TraversalState:
 
     def delta_if_executed(self, u: Node) -> float:
         """Change of resident-set size after ``u`` completes (out - freed in)."""
-        freed = sum(c for p, c in self.wf.in_edges(u) if p in self.block)
+        freed = 0.0
+        for p, c in self.wf.in_edges(u):
+            if p in self.block:
+                freed += c
         return self.wf.out_cost(u) - freed
 
     def execute(self, u: Node) -> float:
@@ -84,7 +87,99 @@ class TraversalState:
         return len(self.executed) == len(self.block)
 
     def _ext_in(self, u: Node) -> float:
-        return sum(c for p, c in self.wf.in_edges(u) if p not in self.block)
+        # summed left to right like BlockStatics: builtin sum() of floats
+        # is compensated from Python 3.12 on, which would let the two
+        # disagree in the last bit
+        ext_in = 0.0
+        for p, c in self.wf.in_edges(u):
+            if p not in self.block:
+                ext_in += c
+        return ext_in
+
+
+class BlockStatics:
+    """Per-task static quantities of one block, built in one pass.
+
+    ``ext_in``, ``m`` and ``out`` are the three terms of a task's usage
+    while it runs; ``a = ext_in + m + out`` is its activation and
+    ``delta = out - freed`` the net change of the resident set after it
+    completes (see segments.py). ``n_parents`` counts in-block parents and
+    ``children`` lists in-block children in ``wf.children`` order. Every
+    sum runs left to right over ``wf.in_edges``, exactly like
+    :class:`TraversalState`, so :meth:`peak` is bit-identical to
+    ``max(evaluate_traversal(...))``.
+
+    ``block`` is a fresh set of the given tasks (default: all of them).
+    Engines iterate it wherever set order reaches their output, so one
+    shared instance gives the same orders as one built per engine. Nothing
+    here changes after construction.
+    """
+
+    __slots__ = ("block", "ext_in", "m", "out", "a", "delta", "n_parents",
+                 "children")
+
+    block: Set[Node]
+    ext_in: Dict[Node, float]
+    m: Dict[Node, float]
+    out: Dict[Node, float]
+    a: Dict[Node, float]
+    delta: Dict[Node, float]
+    n_parents: Dict[Node, int]
+    children: Dict[Node, List[Node]]
+
+    def __init__(self, wf: Workflow, block: Optional[Iterable[Node]] = None):
+        self.block = block = set(block if block is not None else wf.tasks())
+        self.ext_in = ext_ins = {}
+        self.m = ms = {}
+        self.out = outs = {}
+        self.a = a = {}
+        self.delta = delta = {}
+        self.n_parents = parents = {}
+        self.children = children = {}
+        in_edges, wf_children = wf.in_edges, wf.children
+        memory, out_cost = wf.memory, wf.out_cost
+        for u in block:
+            ext_in = 0.0
+            freed = 0.0
+            n_parents = 0
+            for p, c in in_edges(u):
+                if p in block:
+                    freed += c
+                    n_parents += 1
+                else:
+                    ext_in += c
+            m = ms[u] = memory(u)
+            out = outs[u] = out_cost(u)
+            ext_ins[u] = ext_in
+            a[u] = ext_in + m + out
+            delta[u] = out - freed
+            parents[u] = n_parents
+            children[u] = [v for v in wf_children(u) if v in block]
+
+    def peak(self, order: Sequence[Node]) -> float:
+        """Peak memory of ``order``; raises ``ValueError`` if it is not a
+        topological order covering the block exactly once."""
+        if len(order) != len(self.block):
+            raise ValueError("traversal must cover the block exactly once")
+        ext_in, m, out, delta = self.ext_in, self.m, self.out, self.delta
+        children = self.children
+        # in-block parents not yet run; -1 once the task itself has run
+        pending = self.n_parents.copy()
+        live = 0.0
+        peak = None
+        for u in order:
+            if pending.get(u) != 0:
+                raise ValueError(f"task {u!r} is foreign, repeated or run "
+                                 "before its in-block parents")
+            pending[u] = -1
+            for v in children[u]:
+                pending[v] -= 1
+            usage = live + ext_in[u] + m[u] + out[u]
+            live += delta[u]
+            # max() semantics: the first maximum, replaced only when beaten
+            if peak is None or usage > peak:
+                peak = usage
+        return 0.0 if peak is None else peak
 
 
 def evaluate_traversal(wf: Workflow, order: Sequence[Node],
@@ -98,8 +193,16 @@ def evaluate_traversal(wf: Workflow, order: Sequence[Node],
 
 
 def peak_of_traversal(wf: Workflow, order: Sequence[Node],
-                      block: Optional[Set[Node]] = None) -> float:
-    """Peak memory of a traversal (max of :func:`evaluate_traversal`)."""
+                      block: Optional[Set[Node]] = None, *,
+                      statics: Optional[BlockStatics] = None) -> float:
+    """Peak memory of a traversal (max of :func:`evaluate_traversal`).
+
+    With ``statics`` (built for the same block) the peak comes from one
+    flat loop over precomputed per-task terms, bit-identical to the
+    :class:`TraversalState` evaluation used without it.
+    """
+    if statics is not None:
+        return statics.peak(order)
     usages = evaluate_traversal(wf, order, block)
     return max(usages) if usages else 0.0
 

@@ -38,6 +38,13 @@ Node = Hashable
 _EPS = 1e-12
 
 
+def merge_key(h: float, v: float) -> Tuple[int, float]:
+    """Sort key of the two-class merge rule for hill ``h``, valley ``v``."""
+    if v <= _EPS:
+        return (0, h)
+    return (1, -(h - v))
+
+
 @dataclass(frozen=True)
 class Segment:
     """An atomic run of tasks with hill ``h`` and valley ``v``.
@@ -53,9 +60,7 @@ class Segment:
 
     def key(self) -> Tuple[int, float]:
         """Sort key of the two-class merge rule (lower runs earlier)."""
-        if self.v <= _EPS:
-            return (0, self.h)
-        return (1, -(self.h - self.v))
+        return merge_key(self.h, self.v)
 
     def fuse(self, other: "Segment") -> "Segment":
         """Concatenate ``self`` directly followed by ``other``."""
@@ -155,6 +160,19 @@ def merge_segment_sequences(sequences: List[List[Segment]]) -> Tuple[List[Node],
         if idx + 1 < len(normalized[si]):
             heapq.heappush(heap, (normalized[si][idx + 1].key(), si, idx + 1))
     return order, peak
+
+
+def merge_independent_tasks(tasks: Sequence[Node], a, delta) -> List[Node]:
+    """:func:`merge_segment_sequences` of one-task sequences, as a sort.
+
+    A single task is a single segment ``(a(u), delta(u))``, so every
+    sequence is already normalized and the greedy head merge pops the
+    tasks in ``(key, input position)`` order.
+    """
+    if len(tasks) == 1:
+        return list(tasks)
+    keyed = sorted((merge_key(a[u], delta[u]), i, u) for i, u in enumerate(tasks))
+    return [u for _, _, u in keyed]
 
 
 def peak_of_segments(segments: Sequence[Segment]) -> float:

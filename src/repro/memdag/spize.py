@@ -14,56 +14,49 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set
 
-from repro.memdag.segments import Segment, merge_segment_sequences
+from repro.memdag.model import BlockStatics
+from repro.memdag.segments import merge_independent_tasks
 from repro.workflow.graph import Workflow
 
 Node = Hashable
 
 
-def layered_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> List[Node]:
+def layered_traversal(wf: Workflow, block: Optional[Set[Node]] = None, *,
+                      statics: Optional[BlockStatics] = None) -> List[Node]:
     """Level-by-level traversal; within each level, optimal independent merge.
 
     Levels are longest-path depths inside the block. Tasks of a level are
     pairwise independent, so each is a one-segment sequence and the
-    hill-valley merge rule gives the best intra-level order.
+    hill-valley merge rule gives the best intra-level order. ``statics``
+    (built for the same block) skips the per-call rescan of its edges.
     """
-    block_set = set(block) if block is not None else set(wf.tasks())
+    if statics is None:
+        statics = BlockStatics(wf, block)
+    children = statics.children
 
-    # longest-path level restricted to block-internal edges
-    levels: Dict[Node, int] = {}
-    indeg = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
-    ready = [u for u in block_set if indeg[u] == 0]
+    # longest-path level restricted to block-internal edges, pushed
+    # forward to the children; a task's level is final when it is ready,
+    # and each level lists its tasks in Kahn order
+    depth: Dict[Node, int] = {}
+    by_level: Dict[int, List[Node]] = {}
+    indeg = statics.n_parents.copy()
+    ready = [u for u in statics.block if indeg[u] == 0]
     head = 0
     while head < len(ready):
         u = ready[head]
         head += 1
-        lvl = 0
-        for p in wf.parents(u):
-            if p in block_set:
-                lvl = max(lvl, levels[p] + 1)
-        levels[u] = lvl
-        for v in wf.children(u):
-            if v in block_set:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-    if len(levels) != len(block_set):
-        raise ValueError("block graph contains a cycle")
-
-    by_level: Dict[int, List[Node]] = {}
-    for u, lvl in levels.items():
+        lvl = depth.get(u, 0)
         by_level.setdefault(lvl, []).append(u)
+        for v in children[u]:
+            if depth.get(v, 0) <= lvl:
+                depth[v] = lvl + 1
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if len(ready) != len(indeg):
+        raise ValueError("block graph contains a cycle")
 
     order: List[Node] = []
     for lvl in sorted(by_level):
-        tasks = by_level[lvl]
-        sequences = []
-        for u in tasks:
-            a = (sum(c for p, c in wf.in_edges(u) if p not in block_set)
-                 + wf.memory(u) + wf.out_cost(u))
-            freed = sum(c for p, c in wf.in_edges(u) if p in block_set)
-            delta = wf.out_cost(u) - freed
-            sequences.append([Segment((u,), a, delta)])
-        merged, _ = merge_segment_sequences(sequences)
-        order.extend(merged)
+        order.extend(merge_independent_tasks(by_level[lvl], statics.a, statics.delta))
     return order

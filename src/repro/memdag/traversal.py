@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.memdag.model import peak_of_traversal
+from repro.memdag.model import BlockStatics, peak_of_traversal
 from repro.memdag.segments import Segment, decompose_profile, merge_segment_sequences
 from repro.memdag.sp_tree import SPTree, sp_decompose
 from repro.memdag.spize import layered_traversal
@@ -47,53 +47,37 @@ class TraversalResult:
     method: str
 
 
-def _statics(wf: Workflow, block: Set[Node]) -> Tuple[Dict[Node, float], Dict[Node, float]]:
-    """Per-task activation ``a(u)`` and net change ``delta(u)`` (see segments.py)."""
-    a: Dict[Node, float] = {}
-    delta: Dict[Node, float] = {}
-    for u in block:
-        ext_in = 0.0
-        freed = 0.0
-        for p, c in wf.in_edges(u):
-            if p in block:
-                freed += c
-            else:
-                ext_in += c
-        out = wf.out_cost(u)
-        a[u] = ext_in + wf.memory(u) + out
-        delta[u] = out - freed
-    return a, delta
-
-
-def best_first_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> List[Node]:
+def best_first_traversal(wf: Workflow, block: Optional[Set[Node]] = None, *,
+                         statics: Optional[BlockStatics] = None) -> List[Node]:
     """Greedy min-peak topological order.
 
     Among ready tasks, prefer (1) net memory releasers (``delta <= 0``),
     (2) smaller activation ``a(u)``, (3) smaller ``delta``; ties broken by
     insertion order for determinism. Priorities are static, so a single
-    heap suffices.
+    heap suffices. ``statics`` (built for the same block) skips the
+    per-call rescan of the block's edges.
     """
-    block_set = set(block) if block is not None else set(wf.tasks())
-    a, delta = _statics(wf, block_set)
-    seq = {u: i for i, u in enumerate(wf.tasks()) if u in block_set}
+    if statics is None:
+        statics = BlockStatics(wf, block)
+    a, delta, children = statics.a, statics.delta, statics.children
+    seq = wf.task_index()
 
     def prio(u: Node) -> Tuple[int, float, float, int]:
         d = delta[u]
         return (0 if d <= 0 else 1, a[u], d, seq[u])
 
-    pending = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
-    heap = [prio(u) + (u,) for u in block_set if pending[u] == 0]
+    pending = statics.n_parents.copy()
+    heap = [prio(u) + (u,) for u, k in pending.items() if k == 0]
     heapq.heapify(heap)
     order: List[Node] = []
     while heap:
         *_, u = heapq.heappop(heap)
         order.append(u)
-        for v in wf.children(u):
-            if v in block_set:
-                pending[v] -= 1
-                if pending[v] == 0:
-                    heapq.heappush(heap, prio(v) + (v,))
-    if len(order) != len(block_set):
+        for v in children[u]:
+            pending[v] -= 1
+            if pending[v] == 0:
+                heapq.heappush(heap, prio(v) + (v,))
+    if len(order) != len(pending):
         raise ValueError("block graph contains a cycle")
     return order
 
@@ -122,26 +106,27 @@ def _sp_order(tree: SPTree, a: Dict[Node, float], delta: Dict[Node, float]) -> L
 _VIRTUAL = itertools.count()
 
 
-def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[List[Node]]:
+def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None, *,
+                 statics: Optional[BlockStatics] = None) -> Optional[List[Node]]:
     """Series-parallel traversal, or ``None`` when the block is not TTSP.
 
     Multi-source/multi-sink blocks are augmented with a virtual source and
-    sink (zero memory effect) before decomposition; the virtual terminals
-    are stripped from the returned order.
+    sink before decomposition. Both are terminals of the root, so they
+    never appear among the internal vertices the order is built from.
     """
-    block_set = set(block) if block is not None else set(wf.tasks())
+    if statics is None:
+        statics = BlockStatics(wf, block)
+    block_set, children = statics.block, statics.children
     if not block_set:
         return []
     if len(block_set) == 1:
         return list(block_set)
 
     edges: List[Tuple[Node, Node]] = [
-        (u, v) for u in block_set for v in wf.children(u) if v in block_set
+        (u, v) for u in block_set for v in children[u]
     ]
-    sources = [u for u in block_set
-               if not any(p in block_set for p in wf.parents(u))]
-    sinks = [u for u in block_set
-             if not any(c in block_set for c in wf.children(u))]
+    sources = [u for u in block_set if statics.n_parents[u] == 0]
+    sinks = [u for u in block_set if not children[u]]
     if not sources or not sinks:
         return None
 
@@ -155,13 +140,7 @@ def sp_traversal(wf: Workflow, block: Optional[Set[Node]] = None) -> Optional[Li
     if tree is None:
         return None
 
-    a, delta = _statics(wf, block_set)
-    a[vsrc] = a[vsink] = 0.0
-    delta[vsrc] = delta[vsink] = 0.0
-    order = [u for u in tree.internal_vertices() if u not in (vsrc, vsink)]
-    # internal_vertices of the root are exactly the block tasks; re-derive
-    # the optimized order instead of the structural one:
-    order = [u for u in _sp_order(tree, a, delta) if u not in (vsrc, vsink)]
+    order = _sp_order(tree, statics.a, statics.delta)
     if len(order) != len(block_set):
         return None
     return order
@@ -173,25 +152,33 @@ def memdag_traversal(wf: Workflow, block: Optional[Set[Node]] = None,
 
     Candidates are evaluated under the exact semantics of
     :func:`repro.memdag.model.peak_of_traversal`; the smallest peak wins,
-    with ties resolved toward the cheaper engine.
+    with ties resolved toward the cheaper engine. The block's
+    :class:`~repro.memdag.model.BlockStatics` are built once and shared by
+    every engine and peak evaluation.
     """
     block_set = set(block) if block is not None else set(wf.tasks())
     if not block_set:
         return TraversalResult(order=(), peak=0.0, method="empty")
+    # one statics pass shared by every engine and peak evaluation below
+    statics = BlockStatics(wf, block_set)
 
     candidates: List[Tuple[float, str, List[Node]]] = []
     if "best_first" in methods:
-        order = best_first_traversal(wf, block_set)
-        candidates.append((peak_of_traversal(wf, order, block_set), "best_first", order))
+        order = best_first_traversal(wf, block_set, statics=statics)
+        candidates.append((peak_of_traversal(wf, order, block_set, statics=statics),
+                           "best_first", order))
     if "layered" in methods:
-        order = layered_traversal(wf, block_set)
-        candidates.append((peak_of_traversal(wf, order, block_set), "layered", order))
+        order = layered_traversal(wf, block_set, statics=statics)
+        candidates.append((peak_of_traversal(wf, order, block_set, statics=statics),
+                           "layered", order))
     if "sp" in methods and len(block_set) <= SP_SIZE_LIMIT:
-        order = sp_traversal(wf, block_set)
+        order = sp_traversal(wf, block_set, statics=statics)
         if order is not None:
-            candidates.append((peak_of_traversal(wf, order, block_set), "sp", order))
+            candidates.append((peak_of_traversal(wf, order, block_set, statics=statics),
+                               "sp", order))
     if "exact" in methods and len(block_set) <= EXACT_SIZE_LIMIT:
-        result = brute_force_min_peak(wf, block_set, limit=EXACT_SIZE_LIMIT)
+        result = brute_force_min_peak(wf, block_set, limit=EXACT_SIZE_LIMIT,
+                                      statics=statics)
         candidates.append((result.peak, "exact", list(result.order)))
 
     if not candidates:
@@ -201,22 +188,25 @@ def memdag_traversal(wf: Workflow, block: Optional[Set[Node]] = None,
 
 
 def brute_force_min_peak(wf: Workflow, block: Optional[Set[Node]] = None,
-                         limit: int = 10) -> TraversalResult:
+                         limit: int = 10, *,
+                         statics: Optional[BlockStatics] = None) -> TraversalResult:
     """Exhaustive minimum over all topological orders (tests only).
 
     Branch-and-bound DFS; refuses blocks larger than ``limit`` tasks.
     """
-    block_set = set(block) if block is not None else set(wf.tasks())
+    if statics is None:
+        statics = BlockStatics(wf, block)
+    block_set = statics.block
     n = len(block_set)
     if n > limit:
         raise ValueError(f"brute force limited to {limit} tasks, got {n}")
     if n == 0:
         return TraversalResult(order=(), peak=0.0, method="brute")
 
-    a, delta = _statics(wf, block_set)
+    a, delta, children = statics.a, statics.delta, statics.children
     best_peak = float("inf")
     best_order: List[Node] = []
-    pending = {u: sum(1 for p in wf.parents(u) if p in block_set) for u in block_set}
+    pending = statics.n_parents.copy()
     order: List[Node] = []
 
     def dfs(live: float, peak: float) -> None:
@@ -232,13 +222,11 @@ def brute_force_min_peak(wf: Workflow, block: Optional[Set[Node]] = None,
                 usage = live + a[u]
                 order.append(u)
                 order_set.add(u)
-                for v in wf.children(u):
-                    if v in block_set:
-                        pending[v] -= 1
+                for v in children[u]:
+                    pending[v] -= 1
                 dfs(live + delta[u], max(peak, usage))
-                for v in wf.children(u):
-                    if v in block_set:
-                        pending[v] += 1
+                for v in children[u]:
+                    pending[v] += 1
                 order_set.discard(u)
                 order.pop()
 

@@ -41,7 +41,8 @@ class Workflow:
     """
 
     __slots__ = ("name", "_work", "_memory", "_succ", "_pred", "_n_edges",
-                 "_in_total", "_out_total", "_version", "_compiled")
+                 "_in_total", "_out_total", "_version", "_compiled",
+                 "_task_index")
 
     def __init__(self, name: str = "workflow"):
         self.name = name
@@ -58,6 +59,7 @@ class Workflow:
         #: bumped on every mutation; keys the compiled-view cache
         self._version = 0
         self._compiled = None
+        self._task_index: Optional[Dict[Node, int]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -65,6 +67,7 @@ class Workflow:
     def _touch(self) -> None:
         self._version += 1
         self._compiled = None
+        self._task_index = None
 
     def add_task(self, u: Node, work: float = 1.0, memory: float = 0.0) -> None:
         """Add task ``u``; re-adding updates its weights in place."""
@@ -141,6 +144,13 @@ class Workflow:
 
     def tasks(self) -> Iterator[Node]:
         return iter(self._work)
+
+    def task_index(self) -> Dict[Node, int]:
+        """Position of each task in :meth:`tasks` order (memoized until the
+        next mutation; callers must not modify it)."""
+        if self._task_index is None:
+            self._task_index = {u: i for i, u in enumerate(self._work)}
+        return self._task_index
 
     def edges(self) -> Iterator[Tuple[Node, Node, float]]:
         for u, nbrs in self._succ.items():
@@ -392,3 +402,4 @@ class Workflow:
         self._out_total = {}
         self._version = 0
         self._compiled = None
+        self._task_index = None

@@ -43,6 +43,22 @@ class TestSolve:
         assert result.mapping is None
         assert result.makespan > 0 and result.n_blocks >= 1
 
+    def test_invalid_mapping_comes_back_as_failure(self):
+        """validate=True on a memory-oblivious mapping that overflows a
+        tight cluster returns the InvalidPartitionError, never raises."""
+        from repro.platform.cluster import Cluster
+        from repro.platform.processor import Processor
+        inst = synthetic_instances(sizes={"small": (24,)},
+                                   families=("genome",))[0]
+        tight = Cluster([Processor(f"p{i}", 1.0, 1.0) for i in range(4)])
+        result = solve(ScheduleRequest(workflow=inst.workflow, cluster=tight,
+                                       algorithm="heftlist", validate=True))
+        assert not result.success
+        assert result.failure.kind == "InvalidPartitionError"
+        assert "exceeds memory" in result.failure.message
+        assert result.mapping is None
+        assert result.makespan == float("inf") and result.n_blocks == 0
+
     def test_scale_memory_reflected_in_result_cluster(self):
         # blast tasks outgrow the unscaled cluster memory at this size
         req = _requests()[1]

@@ -2,11 +2,14 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.memdag.segments import (
     Segment,
     decompose_profile,
+    merge_independent_tasks,
     merge_segment_sequences,
     normalize_segments,
     peak_of_segments,
@@ -122,3 +125,26 @@ class TestMerging:
     def test_peak_of_segments(self):
         segs = [Segment(("a",), 5, -2), Segment(("b",), 4, 1)]
         assert peak_of_segments(segs) == pytest.approx(max(5.0, -2 + 4))
+
+
+class TestMergeIndependentTasks:
+    # a few repeated values so that equal merge keys occur
+    @given(terms=st.lists(
+        st.tuples(st.sampled_from((1.0, 3.0)) | st.floats(0.0, 50.0),
+                  st.sampled_from((-1.0, 0.0, 1.0)) | st.floats(-30.0, 30.0)),
+        min_size=1, max_size=12))
+    @settings(deadline=None, max_examples=200)
+    def test_equals_merge_of_one_task_sequences(self, terms):
+        """Sorting by merge key is the head merge of one-task sequences,
+        ties (equal keys) included."""
+        tasks = list(range(len(terms)))
+        a = {u: h for u, (h, _) in enumerate(terms)}
+        delta = {u: min(v, h) for u, (h, v) in enumerate(terms)}
+        merged, _ = merge_segment_sequences(
+            [[Segment((u,), a[u], delta[u])] for u in tasks])
+        assert merge_independent_tasks(tasks, a, delta) == merged
+
+    def test_equal_keys_keep_input_order(self):
+        a = {"x": 1.0, "y": 1.0, "z": 1.0}
+        delta = {"x": 0.0, "y": 0.0, "z": 0.0}
+        assert merge_independent_tasks(["z", "x", "y"], a, delta) == ["z", "x", "y"]
