@@ -24,13 +24,6 @@ touched. Results are bit-for-bit identical to the full recompute: every
 vertex weight is produced by the same arithmetic over the same adjacency
 iteration order as :func:`repro.core.makespan.bottom_weights`.
 
-Full recomputes run on the active kernel
-(:mod:`repro.core.kernels` — the vectorized array sweep when selected),
-and the delta syncs then patch the same weight table the kernel
-produced; because the kernels are bit-for-bit interchangeable, mixing
-kernel-computed full passes with scalar delta updates never introduces a
-divergence.
-
 Change tracking
 ---------------
 The evaluator subscribes to the quotient's op log
@@ -116,8 +109,7 @@ class MakespanEvaluator:
 
         Needed only after mutations the op log cannot see (direct
         ``blk.proc`` assignment, manual adjacency edits). Also bumps the
-        quotient version via :meth:`QuotientGraph.touch` so the compiled
-        view's mapping caches (speed/bandwidth vectors) refresh too.
+        quotient version via :meth:`QuotientGraph.touch`.
         """
         self._dirty = True
         self.q.touch()

@@ -34,11 +34,7 @@ from repro.core.swaps import improve_by_swaps, move_critical_to_idle
 from repro.memdag.requirement import RequirementCache
 from repro.partition.api import acyclic_partition
 from repro.platform.cluster import Cluster
-from repro.utils.errors import (
-    InvalidPartitionError,
-    NoFeasibleMappingError,
-    ReproError,
-)
+from repro.utils.errors import NoFeasibleMappingError, ReproError
 from repro.workflow.graph import Workflow
 
 Node = Hashable
@@ -195,7 +191,7 @@ def dag_het_part_sweep(wf: Workflow, cluster: Cluster,
     for k_prime in _k_prime_candidates(cluster.k, config):
         try:
             result = _run_pipeline(wf, cluster, k_prime, config, cache)
-        except (InvalidPartitionError, ReproError):
+        except ReproError:
             trace.append(SweepPoint(k_prime, None, "error"))
             continue
         if result is None:

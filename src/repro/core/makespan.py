@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.quotient import BlockId, QuotientGraph
 from repro.platform.cluster import Cluster
 from repro.platform.processor import Processor
+from repro.utils.errors import CyclicWorkflowError
 
 #: instrumentation: number of full bottom-weight passes executed since
 #: import (or the last manual reset). The delta evaluator
@@ -65,17 +66,24 @@ def bottom_weights(q: QuotientGraph, cluster: Cluster,
     uses the bandwidth of the link between the two blocks' processors;
     links with an undecided endpoint use the model's default (the same
     estimation rule the paper applies to unassigned speeds).
-
-    This is the kernel seam's main dispatch point: the sweep itself runs
-    on the active kernel (:func:`repro.core.kernels.get_kernel` —
-    reference dict loops or vectorized CSR arrays, selected via
-    ``REPRO_KERNEL``), and both kernels return bit-for-bit identical
-    weights.
     """
     global FULL_PASSES
-    from repro.core.kernels import get_kernel
-
-    l = get_kernel().bottom_weights(q, cluster, default_speed)
+    order = q.topological_order()
+    if order is None:
+        raise CyclicWorkflowError(
+            message="makespan undefined: quotient graph is cyclic")
+    link_of = link_rule(cluster)
+    l: Dict[BlockId, float] = {}
+    for bid in reversed(order):
+        blk = q.blocks[bid]
+        own = blk.work / (blk.proc.speed if blk.proc is not None
+                          else default_speed)
+        best_child = 0.0
+        for child, c in q.succ[bid].items():
+            cand = c / link_of(blk.proc, q.blocks[child].proc) + l[child]
+            if cand > best_child:
+                best_child = cand
+        l[bid] = own + best_child
     FULL_PASSES += 1
     return l
 

@@ -16,7 +16,6 @@ from collections import deque
 from typing import Hashable, List, Optional, Set, Tuple
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import get_kernel
 from repro.core.makespan import critical_path, makespan
 from repro.core.quotient import BlockId, QuotientGraph
 from repro.memdag.requirement import RequirementCache
@@ -189,13 +188,13 @@ def _by_memory_slack(q: QuotientGraph, assigned: Set[BlockId],
                      cache: RequirementCache) -> List[BlockId]:
     """Assigned blocks ordered by free memory on their processor, capped.
 
-    The ranking itself ((slack desc, bid asc), top ``FALLBACK_POOL_SIZE``)
-    runs on the active kernel; both kernels return the identical list.
+    Ranked by slack descending, ties by block id ascending; the top
+    ``FALLBACK_POOL_SIZE`` are kept.
     """
-    bids = list(assigned)
-    slacks = [q.blocks[bid].proc.memory - cache.peak(q.blocks[bid].tasks)
-              for bid in bids]
-    return get_kernel().memory_slack_order(bids, slacks, FALLBACK_POOL_SIZE)
+    entries = sorted(((q.blocks[bid].proc.memory
+                       - cache.peak(q.blocks[bid].tasks), -bid)
+                      for bid in assigned), reverse=True)
+    return [-neg_bid for _, neg_bid in entries[:FALLBACK_POOL_SIZE]]
 
 
 def _assign_to_free_processor(q: QuotientGraph, nu: BlockId, cluster: Cluster,

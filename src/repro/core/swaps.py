@@ -18,17 +18,38 @@ are bit-for-bit equivalent (see ``benchmarks/test_evaluator_delta.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import get_kernel
 from repro.core.makespan import critical_path, makespan
-from repro.core.quotient import BlockId, QuotientGraph
+from repro.core.quotient import BlockId, QBlock, QuotientGraph
 from repro.memdag.requirement import RequirementCache
 from repro.platform.cluster import Cluster
 from repro.platform.processor import Processor
 
 Node = Hashable
+
+
+def feasible_swap_pairs(ids: Sequence[BlockId],
+                        requirement: Dict[BlockId, float],
+                        blocks: Dict[BlockId, QBlock]
+                        ) -> List[Tuple[BlockId, BlockId]]:
+    """Step 4 candidate pairs ``(a, b)``, in nested ``i < j`` order.
+
+    A pair is feasible when the two blocks sit on different processor
+    objects and each fits the other's memory. Order matters: the
+    steepest-descent search breaks makespan ties by first-seen pair.
+    """
+    pairs: List[Tuple[BlockId, BlockId]] = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            pa, pb = blocks[a].proc, blocks[b].proc
+            if pa is pb:
+                continue
+            if requirement[a] > pb.memory or requirement[b] > pa.memory:
+                continue
+            pairs.append((a, b))
+    return pairs
 
 
 def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
@@ -54,11 +75,7 @@ def improve_by_swaps(q: QuotientGraph, cluster: Cluster,
                 requirement[bid] = cache.peak(q.blocks[bid].tasks)
         best_mu = current
         best_pair: Optional[Tuple[BlockId, BlockId]] = None
-        # candidate enumeration (proc-identity + memory feasibility) is a
-        # kernel: the pair order is part of the contract, since ties in
-        # makespan go to the first-seen pair
-        pairs = get_kernel().feasible_swap_pairs(ids, requirement, q.blocks)
-        for a, b in pairs:
+        for a, b in feasible_swap_pairs(ids, requirement, q.blocks):
             if ev is not None:
                 mu = ev.eval_swap(a, b)
             else:

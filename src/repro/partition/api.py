@@ -22,19 +22,8 @@ Node = Hashable
 WEIGHT_FUNCTIONS = ("requirement", "work", "memory", "unit")
 
 
-def _node_weight_fn(wf: Workflow, weight: str,
-                    subset: bool = False) -> Callable[[Node], float]:
+def _node_weight_fn(wf: Workflow, weight: str) -> Callable[[Node], float]:
     if weight == "requirement":
-        if not subset:
-            # whole-graph partition: bulk-compute every requirement on the
-            # active kernel (one vectorized pass on the array kernel);
-            # values are bit-identical to wf.task_requirement(u) either way
-            from repro.core.kernels import get_kernel
-
-            reqs = get_kernel().task_requirements(wf)
-            return lambda u: max(reqs[u], 1e-9)
-        # subset partitions (block bisection) touch few tasks; the
-        # per-node memoized path is cheaper than a full bulk pass
         return lambda u: max(wf.task_requirement(u), 1e-9)
     if weight == "work":
         return lambda u: max(wf.work(u), 1e-9)
@@ -113,7 +102,7 @@ def acyclic_partition(wf: Workflow, k: int, *, weight: str = "requirement",
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    node_weight = _node_weight_fn(wf, weight, subset=nodes is not None)
+    node_weight = _node_weight_fn(wf, weight)
     if nodes is None:
         g = CGraph.from_workflow(wf, node_weight)
     else:

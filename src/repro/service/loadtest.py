@@ -3,8 +3,7 @@
 Boots a real :class:`~repro.service.app.ServiceApp` on an ephemeral
 port and replays a synthetic scenario corpus against it over real HTTP,
 then writes the throughput/latency report that ``BENCH_service.json``
-commits and CI gates (the ``BENCH_core.json``/``BENCH_sim.json``
-pattern).
+commits and CI gates (the ``BENCH_sim.json`` pattern).
 
 The test is a **gated burst**, which makes "N concurrent submissions"
 an exact, reproducible number instead of a race between the submitters

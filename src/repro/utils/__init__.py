@@ -1,4 +1,4 @@
-"""Shared utilities: priority queues, RNG plumbing, errors, timing."""
+"""Shared utilities: priority queues, RNG plumbing, errors."""
 
 from repro.utils.errors import (
     ReproError,
@@ -9,7 +9,6 @@ from repro.utils.errors import (
 )
 from repro.utils.pqueue import AddressableMaxPQ
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "ReproError",
@@ -20,5 +19,4 @@ __all__ = [
     "AddressableMaxPQ",
     "make_rng",
     "spawn_rngs",
-    "Stopwatch",
 ]

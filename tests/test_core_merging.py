@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.makespan import makespan
 from repro.core.merging import (
+    FALLBACK_POOL_SIZE,
+    _by_memory_slack,
     find_ms_opt_merge,
     merge_unassigned_to_assigned,
 )
@@ -183,3 +185,36 @@ class TestMergeUnassignedToAssigned:
                 assert blk.proc is not None
                 assert cache.peak(blk.tasks) <= blk.proc.memory + 1e-9
             assert q.is_acyclic()
+
+
+class TestByMemorySlack:
+    """The fallback pool of Step 3: assigned blocks ranked by free memory."""
+
+    @staticmethod
+    def _independent_quotient(memories):
+        """One unit-memory task per block, block ``i`` on ``memories[i]``."""
+        wf = Workflow()
+        for i in range(len(memories)):
+            wf.add_task(i, work=1.0, memory=1.0)
+        procs = [Processor(f"p{i}", 1.0, m) for i, m in enumerate(memories)]
+        q = QuotientGraph.from_partition(
+            wf, [{i} for i in range(len(memories))], procs)
+        return q, RequirementCache(wf)
+
+    def test_slack_descending_ties_by_block_id(self):
+        q, cache = self._independent_quotient([5.0, 9.0, 5.0, 9.0, 3.0])
+        # slacks 4, 8, 4, 8, 2; equal slacks keep ascending block ids
+        assert _by_memory_slack(q, {4, 3, 2, 1, 0}, cache) == [1, 3, 0, 2, 4]
+
+    def test_only_given_blocks_are_ranked(self):
+        q, cache = self._independent_quotient([5.0, 9.0, 5.0, 9.0, 3.0])
+        assert _by_memory_slack(q, {0, 4}, cache) == [0, 4]
+
+    def test_capped_at_pool_size(self):
+        n = FALLBACK_POOL_SIZE + 10
+        memories = [10.0 + (i % 4) for i in range(n)]
+        q, cache = self._independent_quotient(memories)
+        pool = _by_memory_slack(q, set(range(n)), cache)
+        assert len(pool) == FALLBACK_POOL_SIZE
+        assert pool == sorted(range(n), key=lambda b: (-memories[b], b))[
+            :FALLBACK_POOL_SIZE]

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core.makespan import makespan
-from repro.core.quotient import QuotientGraph
-from repro.core.swaps import improve_by_swaps, move_critical_to_idle
+from repro.core.quotient import QBlock, QuotientGraph
+from repro.core.swaps import (
+    feasible_swap_pairs,
+    improve_by_swaps,
+    move_critical_to_idle,
+)
 from repro.memdag.requirement import RequirementCache
 from repro.platform.cluster import Cluster
 from repro.platform.processor import Processor
@@ -226,3 +230,40 @@ class TestSwapIdentity:
         q.set_proc(merged, slow)  # heavy merged block on the slow proc
         assert improve_by_swaps(q, cluster, cache) >= 1
         assert q.blocks[q.block_of("a")].proc.name == "fast"
+
+
+class TestFeasibleSwapPairs:
+    """Step 4's candidate order: ties in makespan go to the first pair."""
+
+    @staticmethod
+    def _blocks(procs):
+        return {bid: QBlock(tasks=set(), work=1.0, proc=p)
+                for bid, p in procs.items()}
+
+    def test_nested_order_follows_ids(self):
+        p = [Processor(f"p{i}", 1.0, 10.0) for i in range(3)]
+        blocks = self._blocks({7: p[0], 5: p[1], 2: p[2]})
+        requirement = {7: 1.0, 5: 1.0, 2: 1.0}
+        assert feasible_swap_pairs([7, 5, 2], requirement, blocks) == \
+            [(7, 5), (7, 2), (5, 2)]
+
+    def test_same_processor_pairs_skipped(self):
+        shared = Processor("p", 1.0, 10.0)
+        other = Processor("q", 1.0, 10.0)
+        blocks = self._blocks({0: shared, 1: shared, 2: other})
+        requirement = {0: 1.0, 1: 1.0, 2: 1.0}
+        assert feasible_swap_pairs([0, 1, 2], requirement, blocks) == \
+            [(0, 2), (1, 2)]
+
+    def test_both_memory_directions_checked(self):
+        small = Processor("small", 1.0, 5.0)
+        big = Processor("big", 1.0, 50.0)
+        big2 = Processor("big2", 1.0, 50.0)
+        blocks = self._blocks({0: small, 1: big, 2: big2})
+        # block 1 does not fit small's memory; block 0 fits anywhere
+        requirement = {0: 4.0, 1: 20.0, 2: 5.0}
+        assert feasible_swap_pairs([0, 1, 2], requirement, blocks) == \
+            [(0, 2), (1, 2)]
+        # and the mirrored order: the oversized block comes second
+        assert feasible_swap_pairs([1, 0], requirement, blocks) == []
+        assert feasible_swap_pairs([0, 1], requirement, blocks) == []

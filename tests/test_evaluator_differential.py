@@ -8,32 +8,20 @@ critical path against a from-scratch recompute of the live quotient —
 bit-for-bit, as the evaluator's contract promises. A second replay mixes
 in tentative ``eval_move`` / ``eval_swap`` probes to verify they leave no
 residue behind.
-
-The property-based half (:class:`TestKernelDifferential`) turns the same
-idea on the kernel seam: hypothesis draws arbitrary DAGs — including
-empty, single-node, and disconnected ones, with unassigned (``None``)
-processors mixed in — and the array kernel must reproduce the reference
-kernel bit for bit on every one of them.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.evaluator import MakespanEvaluator
-from repro.core.kernels import use_kernel
-from repro.core.kernels.array import ArrayKernel
-from repro.core.kernels.reference import ReferenceKernel
-from repro.core.makespan import bottom_weights, critical_path, makespan
+from repro.core.makespan import bottom_weights, critical_path
 from repro.core.quotient import QuotientGraph
 from repro.generators.families import generate_workflow
 from repro.partition.api import acyclic_partition
 from repro.platform.bandwidth import GroupedBandwidth
 from repro.platform.presets import default_cluster
 from repro.utils.rng import make_rng
-from repro.workflow.graph import Workflow
 
 
 def _assigned_quotient(family: str, n: int, k: int, cluster, seed: int):
@@ -221,91 +209,3 @@ def test_incremental_growth_ops_match_full_recompute():
         _check_against_full(q, cluster, ev, step)
     assert ev.full_recomputes == 1
     assert ev.delta_syncs > 0
-
-
-# ----------------------------------------------------------------------
-# property-based: the array kernel vs the reference kernel on arbitrary
-# DAGs (satellite of the flat-array-core PR)
-# ----------------------------------------------------------------------
-_weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                    width=64).map(lambda x: x + 0.001)
-
-
-@st.composite
-def random_dags(draw):
-    """(workflow, proc-pattern) pairs covering the degenerate corners.
-
-    Tasks are ``0..n-1`` with edges only low -> high, so any drawn edge
-    set is acyclic; density is drawn per-instance, and 0 produces fully
-    disconnected graphs. ``procs[i] = None`` marks an unassigned block.
-    """
-    n = draw(st.integers(min_value=0, max_value=24))
-    edges = {}
-    if n >= 2:
-        density = draw(st.floats(min_value=0.0, max_value=1.0))
-        candidates = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
-        for u, v in candidates:
-            if draw(st.floats(min_value=0.0, max_value=1.0)) < density:
-                edges[(u, v)] = draw(_weight)
-    wf = Workflow("hyp")
-    for u in range(n):
-        wf.add_task(u, draw(_weight), draw(_weight))
-    for (u, v), c in edges.items():
-        wf.add_edge(u, v, c)
-    pattern = draw(st.lists(
-        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-        min_size=n, max_size=n))
-    return wf, pattern
-
-
-def _quotient_of(wf: Workflow, pattern, cluster) -> QuotientGraph:
-    q = QuotientGraph.from_partition(wf, [{u} for u in wf.tasks()])
-    procs = cluster.processors
-    for bid, choice in zip(sorted(q.blocks), pattern):
-        q.set_proc(bid, None if choice is None else procs[choice % len(procs)])
-    return q
-
-
-class TestKernelDifferential:
-    @settings(max_examples=120, deadline=None)
-    @given(random_dags())
-    def test_bottom_weights_bit_for_bit(self, case):
-        wf, pattern = case
-        cluster = default_cluster()
-        q = _quotient_of(wf, pattern, cluster)
-        ref = ReferenceKernel().bottom_weights(q, cluster, 1.0)
-        arr = ArrayKernel(forced=True).bottom_weights(q, cluster, 1.0)
-        assert ref == arr
-
-    @settings(max_examples=120, deadline=None)
-    @given(random_dags())
-    def test_task_requirements_bit_for_bit(self, case):
-        wf, _ = case
-        ref = ReferenceKernel().task_requirements(wf)
-        arr = ArrayKernel(forced=True).task_requirements(wf)
-        assert ref == arr
-        assert list(ref) == list(arr)
-
-    @settings(max_examples=80, deadline=None)
-    @given(random_dags())
-    def test_makespan_identical_under_either_selection(self, case):
-        wf, pattern = case
-        cluster = default_cluster()
-        q = _quotient_of(wf, pattern, cluster)
-        with use_kernel("reference"):
-            mu_ref = makespan(q, cluster)
-        with use_kernel("array"):
-            mu_arr = makespan(q, cluster)
-        assert mu_ref == mu_arr
-
-    @settings(max_examples=80, deadline=None)
-    @given(random_dags(),
-           st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-    def test_default_speed_fallback_bit_for_bit(self, case, default_speed):
-        """None-proc blocks price at the drawn default speed in both."""
-        wf, pattern = case
-        cluster = default_cluster()
-        q = _quotient_of(wf, [None] * len(pattern), cluster)
-        ref = ReferenceKernel().bottom_weights(q, cluster, default_speed)
-        arr = ArrayKernel(forced=True).bottom_weights(q, cluster, default_speed)
-        assert ref == arr

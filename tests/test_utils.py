@@ -1,6 +1,4 @@
-"""Tests for utilities: priority queue, RNG plumbing, stopwatch, errors."""
-
-import time
+"""Tests for utilities: priority queue, RNG plumbing, errors."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from repro.utils.errors import (
 )
 from repro.utils.pqueue import AddressableMaxPQ
 from repro.utils.rng import make_rng, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch
 
 
 class TestAddressableMaxPQ:
@@ -102,35 +99,6 @@ class TestRng:
         assert stable_hash("blast:200") == stable_hash("blast:200")
         assert stable_hash("a") != stable_hash("b")
         assert 0 <= stable_hash("anything") < 2 ** 63
-
-
-class TestStopwatch:
-    def test_lap_accumulates(self):
-        watch = Stopwatch()
-        with watch.lap("phase"):
-            time.sleep(0.01)
-        with watch.lap("phase"):
-            time.sleep(0.01)
-        assert watch.laps["phase"] >= 0.02
-
-    def test_nested_lap_rejected(self):
-        watch = Stopwatch()
-        watch.start("a")
-        with pytest.raises(RuntimeError):
-            watch.start("b")
-        watch.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_total(self):
-        watch = Stopwatch()
-        with watch.lap("a"):
-            pass
-        with watch.lap("b"):
-            pass
-        assert watch.total() == pytest.approx(sum(watch.laps.values()))
 
 
 class TestErrors:
